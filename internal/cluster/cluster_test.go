@@ -41,7 +41,7 @@ func TestTransportFetchRoundtrip(t *testing.T) {
 
 // TestTransportCompressedFill: a payload past the worth-it heuristic
 // crosses the wire DEFLATE-compressed and is inflated transparently —
-// the wire v3 codec reuse the peer protocol exists for.
+// the wire codec reuse the peer protocol exists for.
 func TestTransportCompressedFill(t *testing.T) {
 	big := make([]byte, 32<<10)
 	for i := range big {

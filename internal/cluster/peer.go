@@ -27,7 +27,7 @@ const PeerPath = "/peer"
 const EpochHeader = "X-Kyrix-Epoch"
 
 // PeerContentType is the /peer response body: a one-frame stream in
-// the internal/wire v3 framing (header + exactly one frame), so the
+// the internal/wire framing (header + exactly one frame), so the
 // peer protocol reuses the batch codec — per-frame status, bounded
 // DEFLATE, the works — instead of inventing a second envelope.
 const PeerContentType = "application/x-kyrix-peer-v3"
@@ -482,14 +482,14 @@ func (t *Transport) PostJSON(ctx context.Context, node, path string, req, resp a
 
 // readPeerResponse decodes the one-frame wire stream of a /peer reply.
 func readPeerResponse(br *bufio.Reader) ([]byte, error) {
-	version, n, err := wire.ReadHeader(br)
+	n, err := wire.ReadHeader(br)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: peer reply: %w", err)
 	}
 	if n != 1 {
 		return nil, fmt.Errorf("cluster: peer reply has %d frames, want 1", n)
 	}
-	f, err := wire.ReadFrame(br, version)
+	f, err := wire.ReadFrame(br)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: peer reply: %w", err)
 	}
@@ -531,8 +531,8 @@ func WritePeerResponse(w http.ResponseWriter, epochs EpochVector, kind wire.Fram
 			}
 		}
 	}
-	if err := wire.WriteHeader(w, wire.V3, 1); err != nil {
+	if err := wire.WriteHeader(w, 1); err != nil {
 		return err
 	}
-	return wire.WriteFrame(w, wire.V3, f)
+	return wire.WriteFrame(w, f)
 }

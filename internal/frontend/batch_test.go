@@ -1,11 +1,7 @@
 package frontend
 
 import (
-	"bytes"
-	"io"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,8 +15,8 @@ import (
 )
 
 // multiLayerApp builds a single canvas with TWO data layers over the
-// same points (dots and halos) — the multi-layer viewport the framed
-// batch protocol serves in one round trip.
+// same points (dots and halos) — the multi-layer viewport /batch
+// serves in one round trip.
 func multiLayerApp(t testing.TB, n int) (*sqldb.DB, *spec.CompiledApp) {
 	t.Helper()
 	db := sqldb.NewDB()
@@ -96,9 +92,9 @@ func (ct *countingTransport) reset() {
 	ct.calls = nil
 }
 
-// TestMultiLayerViewportOneRoundTrip is the tentpole acceptance test:
-// a viewport over a canvas with two dbox layers is served in exactly
-// one /batch v2 round trip — v1 needed one /dbox per layer.
+// TestMultiLayerViewportOneRoundTrip: a viewport over a canvas with
+// two dbox layers is served in exactly one /batch round trip, not one
+// /dbox per layer.
 func TestMultiLayerViewportOneRoundTrip(t *testing.T) {
 	db, ca := multiLayerApp(t, 2500)
 	srv, hs := startBackend(t, db, ca)
@@ -171,138 +167,76 @@ func TestMultiLayerViewportOneRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2MatchesV1Results cross-checks the two protocols: the same
-// trace over tiles and boxes yields the same visible objects.
+// perTileClient is the cross-path reference: a tile client with
+// BatchSize 0, which fetches every tile with its own GET /tile and
+// never touches /batch.
+func perTileClient(t *testing.T, url string, ca *spec.CompiledApp, tileSize float64) *Client {
+	t.Helper()
+	c, err := NewClient(url, ca, Options{
+		Scheme:     fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: tileSize},
+		Codec:      server.CodecJSON,
+		CacheBytes: 32 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// sameObjects fails unless a and b see exactly the same (non-empty)
+// object ids in the viewport of every layer in layers.
+func sameObjects(t *testing.T, what string, a, b *Client, layers ...int) {
+	t.Helper()
+	for _, li := range layers {
+		ra, _ := a.ObjectsInViewport(li)
+		rb, _ := b.ObjectsInViewport(li)
+		if len(ra) != len(rb) || len(ra) == 0 {
+			t.Fatalf("%s layer %d: %d objects vs reference %d", what, li, len(ra), len(rb))
+		}
+		ids := make(map[int64]bool, len(ra))
+		for _, row := range ra {
+			ids[row[0].AsInt()] = true
+		}
+		for _, row := range rb {
+			if !ids[row[0].AsInt()] {
+				t.Fatalf("%s layer %d: missing row %d", what, li, row[0].AsInt())
+			}
+		}
+	}
+}
+
+// TestV2MatchesV1Results cross-checks the two fetch paths: the same
+// trace over /batch (batched tiles, and dynamic boxes) and over
+// per-tile GET /tile yields the same visible objects.
 func TestV2MatchesV1Results(t *testing.T) {
+	db, ca := multiLayerApp(t, 2000)
+	_, hs := startBackend(t, db, ca)
+	ref := perTileClient(t, hs.URL, ca, 256)
 	for _, scheme := range []fetch.Granularity{
 		fetch.DBox50,
 		{Kind: "tile", Design: "spatial", TileSize: 256},
 	} {
-		db, ca := multiLayerApp(t, 2000)
-		_, hs := startBackend(t, db, ca)
-		v2c, err := NewClient(hs.URL, ca, Options{
+		c, err := NewClient(hs.URL, ca, Options{
 			Scheme: scheme, Codec: server.CodecJSON,
 			CacheBytes: 16 << 20, BatchSize: 8,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1c, err := NewClient(hs.URL, ca, Options{
-			Scheme: scheme, Codec: server.CodecJSON,
-			CacheBytes: 16 << 20, BatchSize: 8, BatchProtocol: ProtocolV1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cli := range []*Client{v2c, v1c} {
+		target := c.Viewport().Translate(400, 100)
+		for _, cli := range []*Client{c, ref} {
 			if _, err := cli.Load(); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := cli.PanBy(400, 100); err != nil {
+			if _, err := cli.Pan(target); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for li := 0; li < 2; li++ {
-			a, _ := v2c.ObjectsInViewport(li)
-			b, _ := v1c.ObjectsInViewport(li)
-			if len(a) != len(b) || len(a) == 0 {
-				t.Fatalf("scheme %s layer %d: v2 sees %d objects, v1 %d",
-					scheme.Name(), li, len(a), len(b))
-			}
+		if c.TotalReports[0].WireBytes == 0 || ref.TotalReports[0].WireBytes != 0 {
+			t.Fatalf("scheme %s: batched wire %d, per-tile wire %d — wrong paths taken",
+				scheme.Name(), c.TotalReports[0].WireBytes, ref.TotalReports[0].WireBytes)
 		}
-	}
-}
-
-// v1OnlyProxy forwards to a real backend but rejects v2 batch bodies
-// the way a pre-v2 server would (it never learned the "items" field,
-// finds no tiles, answers 400).
-func v1OnlyProxy(t *testing.T, backend http.Handler) *httptest.Server {
-	t.Helper()
-	var rejected int
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && r.URL.Path == "/batch" {
-			body, _ := io.ReadAll(r.Body)
-			r.Body.Close()
-			// A v1 server never learned the version field: any framed
-			// request decodes to zero tiles and is rejected.
-			if strings.Contains(string(body), `"v":2`) || strings.Contains(string(body), `"v":3`) {
-				rejected++
-				http.Error(w, "empty batch", http.StatusBadRequest)
-				return
-			}
-			r.Body = io.NopCloser(bytes.NewReader(body))
-			r.ContentLength = int64(len(body))
-		}
-		backend.ServeHTTP(w, r)
-	})
-	hs := httptest.NewServer(h)
-	t.Cleanup(hs.Close)
-	return hs
-}
-
-// TestV2FallsBackToV1 covers negotiation: against a v1-only server the
-// client downgrades once, remembers it, and keeps working through the
-// v1 paths.
-func TestV2FallsBackToV1(t *testing.T) {
-	db, ca := multiLayerApp(t, 1500)
-	srv, err := server.New(db, ca, server.Options{
-		CacheBytes: 8 << 20,
-		Precompute: fetch.Options{
-			BuildSpatial: true,
-			TileSizes:    []float64{256},
-			MappingIndex: sqldb.IndexBTree,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := v1OnlyProxy(t, srv.Handler())
-
-	c, err := NewClient(hs.URL, ca, Options{
-		Scheme:     fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 256},
-		Codec:      server.CodecJSON,
-		CacheBytes: 16 << 20,
-		BatchSize:  8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.Load()
-	if err != nil {
-		t.Fatalf("load should downgrade to v1, got: %v", err)
-	}
-	if !c.v1Fallback {
-		t.Fatal("client should remember the v1 downgrade")
-	}
-	if rep.Rows == 0 || rep.Requests == 0 {
-		t.Fatalf("fallback load fetched nothing: %+v", rep)
-	}
-	if rep.FirstFrame != 0 {
-		t.Fatalf("v1 fallback should not report FirstFrame, got %v", rep.FirstFrame)
-	}
-	// Later interactions go straight to v1 (no second rejected v2
-	// attempt): pan and confirm it still works.
-	if _, err := c.PanBy(600, 0); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := c.ObjectsInViewport(0)
-	if err != nil || len(rows) == 0 {
-		t.Fatalf("fallback client sees %d objects, %v", len(rows), err)
-	}
-
-	// Forcing v2 against the same server is a hard error, not a
-	// silent downgrade.
-	fc, err := NewClient(hs.URL, ca, Options{
-		Scheme:        fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 256},
-		Codec:         server.CodecJSON,
-		CacheBytes:    16 << 20,
-		BatchProtocol: ProtocolV2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fc.Load(); err == nil {
-		t.Fatal("forced v2 against a v1-only server must fail")
+		sameObjects(t, scheme.Name(), c, ref, 0, 1)
 	}
 }
 
@@ -323,25 +257,19 @@ func TestV2PerFrameErrorIsolation(t *testing.T) {
 	// Hand-build a batch with one good and one broken item through the
 	// internal path the viewport fetch uses.
 	var got []int
-	subs := []v2Sub{
+	subs := []batchSub{
 		{item: server.BatchItem{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 500, MaxY: 500},
 			merge: func(fr frameResult) { got = append(got, len(fr.dr.Rows)) }},
 		{item: server.BatchItem{Kind: "dbox", Layer: 9, MinX: 0, MinY: 0, MaxX: 500, MaxY: 500},
 			merge: func(fr frameResult) { t.Error("broken item must not merge") }},
 	}
 	var rep FetchReport
-	err = c.runBatchV2(subs, &rep, time.Now())
+	err = c.runBatch(subs, &rep, time.Now())
 	if err == nil {
 		t.Fatal("batch with a broken item should surface the error")
 	}
 	if len(got) != 1 || got[0] == 0 {
 		t.Fatalf("good sibling did not merge: %v", got)
-	}
-	// The server accepted the protocol and streamed the batch; a
-	// per-frame error must still settle negotiation, or chunked
-	// fetches would re-negotiate (and never overlap) forever.
-	if !c.protoConfirmed {
-		t.Fatal("per-frame error left the protocol unconfirmed")
 	}
 }
 

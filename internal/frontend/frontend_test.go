@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"testing"
+	"time"
 
 	"kyrix/internal/fetch"
 	"kyrix/internal/geom"
@@ -92,7 +93,7 @@ func testApp(t testing.TB, n int) (*sqldb.DB, *spec.CompiledApp) {
 func startBackend(t testing.TB, db *sqldb.DB, ca *spec.CompiledApp) (*server.Server, *httptest.Server) {
 	t.Helper()
 	srv, err := server.New(db, ca, server.Options{
-		CacheBytes: 8 << 20,
+		Cache: server.CacheOptions{L1: server.L1CacheOptions{Bytes: 8 << 20}},
 		Precompute: fetch.Options{
 			BuildSpatial: true,
 			TileSizes:    []float64{256},
@@ -561,58 +562,39 @@ func TestPrefetchTilesBatched(t *testing.T) {
 	}
 }
 
-func TestBatchSizeClampedToServerLimit(t *testing.T) {
-	// A BatchSize above the server's MaxBatchTiles must be split
-	// client-side, not rejected with 400 by the server.
-	c, _ := newTestClient(t, Options{
-		Scheme:     fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 256},
-		Codec:      server.CodecJSON,
-		CacheBytes: 16 << 20,
-		BatchSize:  server.MaxBatchTiles + 100,
-	})
-	if _, err := c.Load(); err != nil {
-		t.Fatalf("oversized BatchSize must be clamped, got: %v", err)
-	}
-	rows, err := c.ObjectsInViewport(1)
-	if err != nil || len(rows) == 0 {
-		t.Fatalf("clamped batch load broken: %d rows, %v", len(rows), err)
-	}
-}
-
 func TestBatchChunksRunConcurrently(t *testing.T) {
-	// v1 protocol: BatchSize 2 over a viewport needing >= 4 tiles
-	// produces several chunks; with FetchConcurrency they must still
-	// all land. (Under v2 the whole viewport is one framed round trip,
-	// so this pins ProtocolV1 to keep the chunked path covered.)
+	// 16-px tiles over a 512x512 viewport need 1024 tiles — four
+	// chunks at MaxBatchItems. With FetchConcurrency they overlap and
+	// must all land, matching a per-tile client tile for tile.
+	scheme := fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 16}
 	c, srv := newTestClient(t, Options{
-		Scheme:           fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 256},
+		Scheme:           scheme,
 		Codec:            server.CodecJSON,
-		CacheBytes:       16 << 20,
+		CacheBytes:       32 << 20,
 		BatchSize:        2,
 		FetchConcurrency: 4,
-		BatchProtocol:    ProtocolV1,
 	})
 	rep, err := c.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.Stats.BatchRequests.Load() < 2 {
-		t.Fatalf("expected multiple chunked batches, got %d", srv.Stats.BatchRequests.Load())
+	if got := srv.Stats.BatchRequests.Load(); got < 4 || rep.Requests != int(got) {
+		t.Fatalf("expected >= 4 chunked batches, server saw %d, report %d", got, rep.Requests)
 	}
 	if rep.Rows == 0 {
 		t.Fatal("concurrent chunks fetched nothing")
 	}
 	ref, _ := newTestClient(t, Options{
-		Scheme:     fetch.Granularity{Kind: "tile", Design: "spatial", TileSize: 256},
+		Scheme:     scheme,
 		Codec:      server.CodecJSON,
-		CacheBytes: 16 << 20,
+		CacheBytes: 32 << 20,
 	})
 	if _, err := ref.Load(); err != nil {
 		t.Fatal(err)
 	}
 	refRows, _ := ref.ObjectsInViewport(1)
 	rows, _ := c.ObjectsInViewport(1)
-	if len(rows) != len(refRows) {
+	if len(rows) != len(refRows) || len(rows) == 0 {
 		t.Fatalf("concurrent-chunk client sees %d objects, reference %d", len(rows), len(refRows))
 	}
 }
@@ -647,12 +629,15 @@ func TestInteractionTrace(t *testing.T) {
 		}
 	}
 	// The server's http.batch root must carry the client's trace ID and
-	// parent under the interaction span.
+	// parent under the interaction span. The handler ends that span
+	// after the last frame is written, so it can reach the recorder a
+	// moment after the client has read the whole stream.
 	var batch *obs.SpanData
-	ssnap := srv.FlightRecorder().Snapshot()
-	for _, d := range ssnap.Recent {
-		if d.Name == "http.batch" && d.TraceID == root.TraceID {
-			batch = d
+	for deadline := time.Now().Add(2 * time.Second); batch == nil && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, d := range srv.FlightRecorder().Snapshot().Recent {
+			if d.Name == "http.batch" && d.TraceID == root.TraceID {
+				batch = d
+			}
 		}
 	}
 	if batch == nil {

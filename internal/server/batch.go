@@ -4,25 +4,118 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
 	"time"
 
 	"kyrix/internal/geom"
+	"kyrix/internal/obs"
+	"kyrix/internal/wire"
 )
 
-// handleBatchDispatch routes POST /batch to the v1 buffered-JSON
-// handler or the v2 framed-stream handler (batchv2.go) on the body's
-// protocol version.
+// POST /batch: one viewport's tile and dynamic-box sub-requests in one
+// round trip, answered as a binary framed stream. Frames are flushed
+// as each sub-result completes, so the client renders layers as they
+// arrive; OK payloads may be DEFLATE-compressed, and dynamic-box frames
+// may be delta-encoded against a base box the client declares it
+// already holds (only the rows entering the new box cross the wire,
+// plus a tombstone list for the rows leaving).
+//
+// The frame codec itself (header/frame layout, compression, the delta
+// format) lives in the internal/wire package shared with the frontend;
+// this file owns the HTTP endpoint and the per-item serving path, and
+// batchencode.go the per-frame compression and delta planning. See the
+// package doc of internal/wire for the byte-level layout and kyrix's
+// root package doc for the protocol overview.
+
+// BatchContentType is the Content-Type of a /batch response stream.
+const BatchContentType = "application/x-kyrix-batch-v3"
+
+// MaxBatchItems bounds one /batch request; the frontend splits larger
+// viewports into multiple round trips (overlapped client-side past
+// this limit).
+const MaxBatchItems = 256
+
+// BaseRef declares the dynamic box a client already holds, offered as
+// the delta base for a dbox item: its bounds plus the identity of the
+// exact payload bytes (wire.PayloadID, hex-encoded — JSON numbers
+// cannot carry a full uint64). The server only delta-encodes when its
+// cached copy of that box hashes identically.
+type BaseRef struct {
+	MinX float64 `json:"minx"`
+	MinY float64 `json:"miny"`
+	MaxX float64 `json:"maxx"`
+	MaxY float64 `json:"maxy"`
+	ID   string  `json:"id"`
+}
+
+// Box returns the base's rectangle.
+func (b BaseRef) Box() geom.Rect {
+	return geom.Rect{MinX: b.MinX, MinY: b.MinY, MaxX: b.MaxX, MaxY: b.MaxY}
+}
+
+// BatchItem is one sub-request of a batch: a tile (Col/Row/Size/
+// Design) or a dynamic box (MinX..MaxY), each addressing its own layer
+// of the request's canvas. Base (dbox only) declares a delta base.
+type BatchItem struct {
+	Kind   string   `json:"kind"` // "tile" | "dbox"
+	Layer  int      `json:"layer"`
+	Size   float64  `json:"size,omitempty"`
+	Design string   `json:"design,omitempty"`
+	Col    int      `json:"col,omitempty"`
+	Row    int      `json:"row,omitempty"`
+	MinX   float64  `json:"minx,omitempty"`
+	MinY   float64  `json:"miny,omitempty"`
+	MaxX   float64  `json:"maxx,omitempty"`
+	MaxY   float64  `json:"maxy,omitempty"`
+	Base   *BaseRef `json:"base,omitempty"`
+}
+
+// Box returns the dbox item's rectangle.
+func (it BatchItem) Box() geom.Rect {
+	return geom.Rect{MinX: it.MinX, MinY: it.MinY, MaxX: it.MaxX, MaxY: it.MaxY}
+}
+
+// Compression modes for BatchRequest.Comp.
+const (
+	// CompFlate (the default, also selected by "") lets the server
+	// DEFLATE-compress OK payloads that pass the worth-it heuristic.
+	CompFlate = "flate"
+	// CompOff forces raw payloads (ablations, pre-compressed codecs).
+	CompOff = "off"
+)
+
+// BatchRequest is the POST /batch body: one viewport's worth of tile
+// and dbox sub-requests against one canvas. V must be wire.Version
+// (3); any other value, or none, is rejected with 400. Comp
+// ("flate"|"off") selects per-request compression.
+type BatchRequest struct {
+	V      int         `json:"v"`
+	Canvas string      `json:"canvas"`
+	Codec  Codec       `json:"codec,omitempty"`
+	Comp   string      `json:"comp,omitempty"`
+	Items  []BatchItem `json:"items"`
+}
+
+// handleBatchDispatch validates the POST /batch envelope and opens the
+// request's root span before handing off to handleBatch.
 func (s *Server) handleBatchDispatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	v1, v2, err := decodeBatchBody(w, r)
-	if err != nil {
+	// A valid request is a few KB (MaxBatchItems refs plus header
+	// fields); cap the body so an oversized request is rejected while
+	// decoding instead of allocated in full first.
+	var req BatchRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if req.V != wire.Version {
+		http.Error(w, fmt.Sprintf("unsupported batch protocol v%d (want v%d)", req.V, wire.Version), http.StatusBadRequest)
 		return
 	}
 	// The root span of the whole batch; per-item spans hang off it from
@@ -34,85 +127,77 @@ func (s *Server) handleBatchDispatch(w http.ResponseWriter, r *http.Request) {
 		s.obs.stageBatch.Observe(time.Since(start))
 		sp.End()
 	}()
-	if v2 != nil {
-		sp.Attr("proto", v2.V)
-		sp.Attr("items", len(v2.Items))
-		s.handleBatchV2(ctx, w, v2)
+	sp.Attr("items", len(req.Items))
+	s.handleBatch(ctx, w, &req)
+}
+
+// frameWriter serializes concurrent frame writes onto one HTTP
+// response, flushing after each frame so the client renders sub-
+// results as they complete instead of waiting for the whole batch.
+type frameWriter struct {
+	// flushHist, when set, gets one sample per frame covering the
+	// serialized write + flush; assigned once before any worker runs.
+	flushHist *obs.Histogram
+	mu        sync.Mutex
+	w         io.Writer    // guarded by mu
+	fl        http.Flusher // guarded by mu
+	err       error        // guarded by mu; first write error; later writes are dropped
+	// bytes counts payload bytes as written (post-compression/delta);
+	// rawBytes counts the full-frame equivalent (what a raw frame
+	// would have carried) — the pair is the stream's compression ratio.
+	bytes    int64 // guarded by mu
+	rawBytes int64 // guarded by mu
+}
+
+func newFrameWriter(w http.ResponseWriter) *frameWriter {
+	fw := &frameWriter{w: w}
+	if fl, ok := w.(http.Flusher); ok {
+		fw.fl = fl
+	}
+	return fw
+}
+
+func (fw *frameWriter) writeFrame(f wire.Frame, rawLen int) {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if fw.err != nil {
+		return // client went away; drain remaining work silently
+	}
+	start := time.Now()
+	if err := wire.WriteFrame(fw.w, f); err != nil {
+		fw.err = err
 		return
 	}
-	sp.Attr("proto", 1)
-	sp.Attr("items", len(v1.Tiles))
-	s.handleBatch(ctx, w, v1)
+	fw.bytes += int64(len(f.Payload))
+	fw.rawBytes += int64(rawLen)
+	if fw.fl != nil {
+		fw.fl.Flush()
+	}
+	fw.flushHist.Observe(time.Since(start))
 }
 
-// MaxBatchTiles bounds one /batch request; the frontend splits larger
-// fetches into multiple round trips (see frontend fetchTileBatches).
-const MaxBatchTiles = 256
-
-// TileRef addresses one tile within a batch request.
-type TileRef struct {
-	Col int `json:"col"`
-	Row int `json:"row"`
+// totals reads the stream's byte counters under the writer lock (the
+// batch has joined its workers by the time this is called, but the
+// guarded fields are machine-checked — see internal/analysis).
+func (fw *frameWriter) totals() (bytes, rawBytes int64) {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	return fw.bytes, fw.rawBytes
 }
 
-// BatchRequest is the POST /batch body: many tiles of one layer
-// fetched in a single round trip. Design and Codec default to
-// "spatial" and JSON.
-type BatchRequest struct {
-	Canvas string    `json:"canvas"`
-	Layer  int       `json:"layer"`
-	Size   float64   `json:"size"`
-	Design string    `json:"design,omitempty"`
-	Codec  Codec     `json:"codec,omitempty"`
-	Tiles  []TileRef `json:"tiles"`
-}
-
-// BatchTile is one tile's result inside a BatchResponse. Data is the
-// tile payload encoded with the request codec (base64 inside the JSON
-// envelope); Err is set instead when that tile failed.
-type BatchTile struct {
-	Col  int    `json:"col"`
-	Row  int    `json:"row"`
-	Data []byte `json:"data,omitempty"`
-	Err  string `json:"err,omitempty"`
-}
-
-// BatchResponse is the POST /batch reply, tiles in request order.
-type BatchResponse struct {
-	Tiles []BatchTile `json:"tiles"`
-}
-
-// handleBatch answers many tile requests in one round trip (protocol
-// v1: buffered JSON envelope, base64 payloads). Tiles are served
-// concurrently under a bounded worker pool; each goes through the same
-// cache + coalescing path as a single /tile request, so a batch
-// overlapping another client's requests still runs each query once.
+// handleBatch answers a batch: tile and dbox sub-requests against one
+// canvas, served concurrently under the bounded worker pool and
+// streamed back as binary frames in completion order. Every item goes
+// through the same cache + coalescing path as its single-request
+// equivalent, then OK payloads are compressed and delta-encoded per
+// frame (batchencode.go).
 func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, req *BatchRequest) {
-	if len(req.Tiles) == 0 {
+	if len(req.Items) == 0 {
 		http.Error(w, "empty batch", http.StatusBadRequest)
 		return
 	}
-	if len(req.Tiles) > MaxBatchTiles {
-		http.Error(w, fmt.Sprintf("batch of %d exceeds limit %d", len(req.Tiles), MaxBatchTiles), http.StatusBadRequest)
-		return
-	}
-	if req.Size <= 0 {
-		http.Error(w, "bad size", http.StatusBadRequest)
-		return
-	}
-	pl, ok := s.Layer(req.Canvas, req.Layer)
-	if !ok || pl.Table == "" {
-		http.Error(w, fmt.Sprintf("no data layer %s/%d", req.Canvas, req.Layer), http.StatusBadRequest)
-		return
-	}
-	design := req.Design
-	if design == "" {
-		design = "spatial"
-	}
-	if design != "spatial" && design != "mapping" {
-		// Request-level mistake: fail the batch like GET /tile would,
-		// instead of fanning out N identical per-tile errors.
-		http.Error(w, fmt.Sprintf("unknown design %q", design), http.StatusBadRequest)
+	if len(req.Items) > MaxBatchItems {
+		http.Error(w, fmt.Sprintf("batch of %d exceeds limit %d", len(req.Items), MaxBatchItems), http.StatusBadRequest)
 		return
 	}
 	codec := req.Codec
@@ -120,78 +205,148 @@ func (s *Server) handleBatch(ctx context.Context, w http.ResponseWriter, req *Ba
 		codec = CodecJSON
 	}
 	if codec != CodecJSON && codec != CodecBinary {
-		// Also request-level: without this every tile would run its
-		// query and then fail to encode.
 		http.Error(w, fmt.Sprintf("unknown codec %q", codec), http.StatusBadRequest)
+		return
+	}
+	compress := false
+	switch req.Comp {
+	case "", CompFlate:
+		compress = true
+	case CompOff:
+	default:
+		http.Error(w, fmt.Sprintf("unknown compression %q", req.Comp), http.StatusBadRequest)
 		return
 	}
 
 	s.Stats.BatchRequests.Add(1)
-	s.Stats.TileRequests.Add(int64(len(req.Tiles)))
+	for i := range req.Items {
+		if req.Items[i].Kind == "dbox" {
+			s.Stats.BoxRequests.Add(1)
+		} else {
+			s.Stats.TileRequests.Add(1)
+		}
+	}
 
 	workers := s.opts.BatchConcurrency
 	if workers <= 0 {
-		// Automatic bound: scale with cores (tile queries are CPU-bound
-		// in the embedded DB), floored so small machines still overlap
-		// cache hits with query work.
 		workers = runtime.GOMAXPROCS(0)
 		if workers < 8 {
 			workers = 8
 		}
 	}
-	if workers > len(req.Tiles) {
-		workers = len(req.Tiles)
+	if workers > len(req.Items) {
+		workers = len(req.Items)
 	}
-	out := BatchResponse{Tiles: make([]BatchTile, len(req.Tiles))}
+
+	// Past this point errors are per-frame: the header commits the
+	// stream, so an item failure becomes an error frame, never an HTTP
+	// error code.
+	w.Header().Set("Content-Type", BatchContentType)
+	fw := newFrameWriter(w)
+	fw.flushHist = s.obs.stageFlush
+	if err := wire.WriteHeader(w, len(req.Items)); err != nil {
+		return // client went away before the header landed
+	}
+
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
-	for i, ref := range req.Tiles {
-		bt := &out.Tiles[i]
-		bt.Col, bt.Row = ref.Col, ref.Row
-		if ref.Col < 0 || ref.Row < 0 {
-			bt.Err = "bad col/row"
-			continue
-		}
+	for i := range req.Items {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(ref TileRef, bt *BatchTile) {
+		go func(idx int, it BatchItem) {
 			defer func() { <-sem; wg.Done() }()
+			f := wire.Frame{Index: idx, Kind: wire.FrameTile}
+			if it.Kind == "dbox" {
+				f.Kind = wire.FrameDBox
+			}
+			rawLen := 0
 			// net/http's panic recovery only covers the connection
 			// goroutine; a panic here would kill the whole process.
-			// Contain it as a per-tile error instead.
+			// Contain it as a per-item error frame instead.
 			defer func() {
 				if r := recover(); r != nil {
-					bt.Err = fmt.Sprintf("internal: %v", r)
+					f.Status, f.Codec, f.Payload = wire.FrameInternal, wire.CodecRaw, []byte(fmt.Sprintf("internal: %v", r))
+					rawLen = len(f.Payload)
 				}
+				fw.writeFrame(f, rawLen)
 			}()
+			if it.Kind == "dbox" && it.Base != nil {
+				if s.ownsDBox(req.Canvas, it, codec) {
+					// Delta-eligible: hold the epoch read lock across
+					// query + delta plan so an /update cannot slip
+					// between them and pair a post-update result with
+					// a pre-update base.
+					s.epochMu.RLock()
+					defer s.epochMu.RUnlock()
+				} else {
+					// Non-owned in a cluster: the payload may arrive
+					// from a peer at a different epoch, and the
+					// content-blind id diff cannot prove a cross-epoch
+					// delta safe. Dropping the base ships a full frame
+					// (and keeps the peer hop outside epochMu, where a
+					// gossiped epoch adoption needs the write lock).
+					it.Base = nil
+				}
+			}
 			ictx, isp := s.tracer().Start(ctx, "item")
-			isp.Attr("kind", "tile")
+			isp.Attr("kind", it.Kind)
+			isp.Attr("layer", it.Layer)
 			itemStart := time.Now()
-			payload, err := s.serveTile(ictx, pl, design, codec, req.Size, geom.TileID{Col: ref.Col, Row: ref.Row}, false)
-			s.obs.stageItem.Observe(time.Since(itemStart))
-			isp.End()
+			defer func() {
+				s.obs.stageItem.Observe(time.Since(itemStart))
+				isp.End()
+			}()
+			payload, err := s.serveItem(ictx, req.Canvas, it, codec, true, false)
 			if err != nil {
-				bt.Err = err.Error()
+				f.Payload = []byte(err.Error())
+				rawLen = len(f.Payload)
+				if httpStatusOf(err) == http.StatusBadRequest {
+					f.Status = wire.FrameBadRequest
+				} else {
+					f.Status = wire.FrameInternal
+				}
 				return
 			}
-			bt.Data = payload
-		}(ref, bt)
+			rawLen = len(payload)
+			f.Payload, f.Codec = s.encodeFrame(ictx, req.Canvas, it, codec, payload, compress)
+		}(i, req.Items[i])
 	}
 	wg.Wait()
+	// BytesServed stays the raw-payload count (comparable to /tile);
+	// the wire-side count and savings land in their own stats.
+	wireBytes, rawBytes := fw.totals()
+	s.Stats.BytesServed.Add(rawBytes)
+	s.Stats.WireBytes.Add(wireBytes)
+}
 
-	data, err := json.Marshal(&out)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+// serveItem resolves and serves one framed batch item through the same
+// cache/coalescing path as the single-request endpoints. memoDBox asks
+// dbox queries to park decoded rows for the delta planner; localOnly
+// (peer-originated fills) suppresses cluster forwarding.
+func (s *Server) serveItem(ctx context.Context, canvas string, it BatchItem, codec Codec, memoDBox, localOnly bool) ([]byte, error) {
+	pl, ok := s.Layer(canvas, it.Layer)
+	if !ok || pl.Table == "" {
+		return nil, badRequestError{fmt.Errorf("no data layer %s/%d", canvas, it.Layer)}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	// Count raw payload bytes like /tile and /dbox do, not the
-	// base64-inflated JSON envelope, so batched and unbatched serving
-	// report comparable bytesServed.
-	var payloadBytes int64
-	for i := range out.Tiles {
-		payloadBytes += int64(len(out.Tiles[i].Data))
+	switch it.Kind {
+	case "tile", "":
+		if it.Size <= 0 {
+			return nil, badRequestError{fmt.Errorf("bad size %g", it.Size)}
+		}
+		if it.Col < 0 || it.Row < 0 {
+			return nil, badRequestError{fmt.Errorf("bad col/row %d/%d", it.Col, it.Row)}
+		}
+		design := it.Design
+		if design == "" {
+			design = "spatial"
+		}
+		return s.serveTile(ctx, pl, design, codec, it.Size, geom.TileID{Col: it.Col, Row: it.Row}, localOnly)
+	case "dbox":
+		box := it.Box()
+		if !box.Valid() {
+			return nil, badRequestError{fmt.Errorf("invalid box %+v", box)}
+		}
+		return s.serveBox(ctx, pl, codec, box, memoDBox, localOnly)
 	}
-	s.Stats.BytesServed.Add(payloadBytes)
-	_, _ = w.Write(data)
+	return nil, badRequestError{fmt.Errorf("unknown item kind %q", it.Kind)}
 }

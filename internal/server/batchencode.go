@@ -11,24 +11,24 @@ import (
 	"kyrix/internal/wire"
 )
 
-// Protocol v3 frame encoding: per-frame compression and delta-encoded
+// Batch frame encoding: per-frame compression and delta-encoded
 // dynamic boxes. The full payload is always produced first (it is what
-// the backend cache stores and what cache hits re-serve); v3 only
-// decides how the payload crosses THIS wire, so a delta or compressed
-// frame never pollutes the cache.
+// the backend cache stores and what cache hits re-serve); the frame
+// codec only decides how the payload crosses THIS wire, so a delta or
+// compressed frame never pollutes the cache.
 
 // deltaMinOverlap is the fraction of the new box's area its base must
 // cover before delta encoding can pay off: below it most rows are
 // entering anyway and the tombstone machinery is pure overhead.
 const deltaMinOverlap = 0.25
 
-// encodeFrameV3 turns one OK full payload into its v3 wire form:
+// encodeFrame turns one OK full payload into its wire form:
 // delta-encoded against the item's declared base when that pays off,
 // then DEFLATE-compressed when allowed and the worth-it heuristic
 // agrees. The fallback at every step is the previous form — worst
-// case the frame ships exactly like v2.
-func (s *Server) encodeFrameV3(ctx context.Context, canvas string, it BatchItem, codec Codec, full []byte, compress bool) ([]byte, FrameCodec) {
-	body, fc := full, FrameRaw
+// case the frame ships raw.
+func (s *Server) encodeFrame(ctx context.Context, canvas string, it BatchItem, codec Codec, full []byte, compress bool) ([]byte, wire.FrameCodec) {
+	body, fc := full, wire.CodecRaw
 	if it.Kind == "dbox" && it.Base != nil {
 		_, sp := s.tracer().Start(ctx, "delta.plan")
 		start := time.Now()
@@ -37,7 +37,7 @@ func (s *Server) encodeFrameV3(ctx context.Context, canvas string, it BatchItem,
 		sp.Attr("applied", ok)
 		sp.End()
 		if ok {
-			body, fc = delta, FrameDelta
+			body, fc = delta, wire.CodecDelta
 			s.Stats.DeltaFrames.Add(1)
 		}
 	}
@@ -51,10 +51,10 @@ func (s *Server) encodeFrameV3(ctx context.Context, canvas string, it BatchItem,
 		sp.End()
 		if applied {
 			body = cb
-			if fc == FrameDelta {
-				fc = FrameDeltaFlate
+			if fc == wire.CodecDelta {
+				fc = wire.CodecDeltaFlate
 			} else {
-				fc = FrameFlate
+				fc = wire.CodecFlate
 			}
 			s.Stats.CompressedFrames.Add(1)
 		}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -13,55 +12,8 @@ import (
 	"kyrix/internal/wire"
 )
 
-// postBatchV3Raw posts a v3 request and fully decodes the framed
-// stream, returning frames indexed by item position.
-func postBatchV3Raw(t *testing.T, url string, req BatchRequestV2) []Frame {
-	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(url+"/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(resp.Body)
-		t.Fatalf("batch v3: %s: %s", resp.Status, data)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != BatchV3ContentType {
-		t.Fatalf("content type = %q, want %q", ct, BatchV3ContentType)
-	}
-	br := bufio.NewReader(resp.Body)
-	version, n, err := wire.ReadHeader(br)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if version != wire.V3 {
-		t.Fatalf("stream version = %d, want 3", version)
-	}
-	if n != len(req.Items) {
-		t.Fatalf("announced %d frames for %d items", n, len(req.Items))
-	}
-	out := make([]Frame, n)
-	seen := make([]bool, n)
-	for i := 0; i < n; i++ {
-		f, err := wire.ReadFrame(br, wire.V3)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if f.Index >= n || seen[f.Index] {
-			t.Fatalf("bogus frame index %d", f.Index)
-		}
-		seen[f.Index] = true
-		out[f.Index] = f
-	}
-	if _, err := wire.ReadFrame(br, wire.V3); err != io.EOF {
-		t.Fatalf("stream should end after %d frames, got %v", n, err)
-	}
-	return out
-}
-
-// inflateFrame recovers the full payload of a non-delta v3 frame.
-func inflateFrame(t *testing.T, f Frame) []byte {
+// inflateFrame recovers the full payload of a non-delta frame.
+func inflateFrame(t *testing.T, f wire.Frame) []byte {
 	t.Helper()
 	if !f.Codec.Compressed() {
 		return f.Payload
@@ -73,82 +25,66 @@ func inflateFrame(t *testing.T, f Frame) []byte {
 	return out
 }
 
-// TestBatchV3CompressionMatchesV2 serves the same items over v2 and v3
-// and checks that v3's inflated payloads are byte-identical to v2's raw
-// ones while the JSON-codec frames actually shrink on the wire.
+// TestBatchV3CompressionMatchesV2 serves the same items with and
+// without compression and checks that the compressed frames inflate to
+// byte-identical raw payloads while the JSON-codec frames actually
+// shrink on the wire.
 func TestBatchV3CompressionMatchesV2(t *testing.T) {
 	_, hs := newPointsServer(t, 4000, 4096, 2048)
 	items := []BatchItem{
 		{Kind: "tile", Layer: 0, Size: 512, Col: 1, Row: 1},
 		{Kind: "dbox", Layer: 0, MinX: 100, MinY: 100, MaxX: 1200, MaxY: 900},
-		{Kind: "tile", Layer: 0, Size: 512, Col: 9, Row: 0}, // bad col (error frame)
+		{Kind: "tile", Layer: 0, Size: 512, Col: -1, Row: 0}, // bad col (error frame)
 	}
-	items[2].Col = -1
-	v2frames, _ := postBatchV2Raw(t, hs.URL, BatchRequestV2{
-		V: BatchV2Version, Canvas: "main", Codec: CodecJSON, Items: items,
+	rawFrames := postBatch(t, hs.URL, BatchRequest{
+		V: wire.Version, Canvas: "main", Codec: CodecJSON, Comp: CompOff, Items: items,
 	})
-	v3frames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
-		V: BatchV3Version, Canvas: "main", Codec: CodecJSON, Items: items,
+	compFrames := postBatch(t, hs.URL, BatchRequest{
+		V: wire.Version, Canvas: "main", Codec: CodecJSON, Items: items,
 	})
-	var wireV2, wireV3 int
+	var wireRaw, wireComp int
 	for i := range items {
-		wireV2 += len(v2frames[i].Payload)
-		wireV3 += len(v3frames[i].Payload)
-		if v3frames[i].Status != v2frames[i].Status {
-			t.Fatalf("frame %d status: v3 %d vs v2 %d", i, v3frames[i].Status, v2frames[i].Status)
+		if rawFrames[i].Codec != wire.CodecRaw {
+			t.Fatalf("comp=off frame %d codec = %d, want raw", i, rawFrames[i].Codec)
 		}
-		if v3frames[i].Status != FrameOK {
-			if v3frames[i].Codec != FrameRaw {
-				t.Fatalf("error frame %d not raw: codec %d", i, v3frames[i].Codec)
+		wireRaw += len(rawFrames[i].Payload)
+		wireComp += len(compFrames[i].Payload)
+		if compFrames[i].Status != rawFrames[i].Status {
+			t.Fatalf("frame %d status: compressed %d vs raw %d", i, compFrames[i].Status, rawFrames[i].Status)
+		}
+		if compFrames[i].Status != wire.FrameOK {
+			if compFrames[i].Codec != wire.CodecRaw {
+				t.Fatalf("error frame %d not raw: codec %d", i, compFrames[i].Codec)
 			}
 			continue
 		}
-		if got := inflateFrame(t, v3frames[i]); !bytes.Equal(got, v2frames[i].Payload) {
-			t.Fatalf("frame %d inflates to different bytes than v2", i)
+		if got := inflateFrame(t, compFrames[i]); !bytes.Equal(got, rawFrames[i].Payload) {
+			t.Fatalf("frame %d inflates to different bytes than the raw frame", i)
 		}
 	}
-	if wireV3 >= wireV2 {
-		t.Fatalf("v3 JSON frames did not shrink: v2=%d v3=%d", wireV2, wireV3)
-	}
-
-	// Compression-off override: every frame ships raw and matches v2.
-	offFrames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
-		V: BatchV3Version, Canvas: "main", Codec: CodecJSON, Comp: CompOff, Items: items,
-	})
-	for i := range items {
-		if offFrames[i].Codec != FrameRaw {
-			t.Fatalf("comp=off frame %d codec = %d, want raw", i, offFrames[i].Codec)
-		}
-		if !bytes.Equal(offFrames[i].Payload, v2frames[i].Payload) {
-			t.Fatalf("comp=off frame %d differs from v2", i)
-		}
+	if wireComp >= wireRaw {
+		t.Fatalf("JSON frames did not shrink: raw=%d compressed=%d", wireRaw, wireComp)
 	}
 
 	// Unknown compression mode is a request-level error.
-	body, _ := json.Marshal(BatchRequestV2{
-		V: BatchV3Version, Canvas: "main", Comp: "zstd",
+	body, _ := json.Marshal(BatchRequest{
+		V: wire.Version, Canvas: "main", Comp: "zstd",
 		Items: []BatchItem{{Kind: "tile", Size: 512}},
 	})
-	resp, err := http.Post(hs.URL+"/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("comp=zstd accepted: %d", resp.StatusCode)
+	if code := postBatchStatus(t, hs.URL, body); code != http.StatusBadRequest {
+		t.Fatalf("comp=zstd accepted: %d", code)
 	}
 }
 
 // fetchBoxPayload grabs one dbox payload (and its wire id) via a plain
-// v3 batch with no base, simulating the client's first full fetch.
+// batch with no base, simulating the client's first full fetch.
 func fetchBoxPayload(t *testing.T, url string, it BatchItem, codec Codec) ([]byte, uint64) {
 	t.Helper()
-	frames := postBatchV3Raw(t, url, BatchRequestV2{
-		V: BatchV3Version, Canvas: "main", Codec: codec, Comp: CompOff,
+	frames := postBatch(t, url, BatchRequest{
+		V: wire.Version, Canvas: "main", Codec: codec, Comp: CompOff,
 		Items: []BatchItem{it},
 	})
-	if frames[0].Status != FrameOK || frames[0].Codec != FrameRaw {
+	if frames[0].Status != wire.FrameOK || frames[0].Codec != wire.CodecRaw {
 		t.Fatalf("full fetch frame = %+v", frames[0])
 	}
 	return frames[0].Payload, wire.PayloadID(frames[0].Payload)
@@ -168,12 +104,12 @@ func TestBatchV3DeltaFrames(t *testing.T) {
 			Kind: "dbox", Layer: 0, MinX: 200, MinY: 0, MaxX: 1200, MaxY: 800}, codec)
 
 		deltaBefore := srv.Stats.DeltaFrames.Load()
-		frames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
-			V: BatchV3Version, Canvas: "main", Codec: codec, Comp: CompOff,
+		frames := postBatch(t, hs.URL, BatchRequest{
+			V: wire.Version, Canvas: "main", Codec: codec, Comp: CompOff,
 			Items: []BatchItem{newItem},
 		})
 		f := frames[0]
-		if f.Status != FrameOK || f.Codec != FrameDelta {
+		if f.Status != wire.FrameOK || f.Codec != wire.CodecDelta {
 			t.Fatalf("codec %s: overlap pan frame = status %d codec %d, want delta", codec, f.Status, f.Codec)
 		}
 		if srv.Stats.DeltaFrames.Load() != deltaBefore+1 {
@@ -237,11 +173,11 @@ func TestBatchV3DeltaFallsBackToFull(t *testing.T) {
 
 	expectFull := func(name string, it BatchItem) {
 		t.Helper()
-		frames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
-			V: BatchV3Version, Canvas: "main", Codec: CodecJSON, Comp: CompOff,
+		frames := postBatch(t, hs.URL, BatchRequest{
+			V: wire.Version, Canvas: "main", Codec: CodecJSON, Comp: CompOff,
 			Items: []BatchItem{it},
 		})
-		if frames[0].Status != FrameOK {
+		if frames[0].Status != wire.FrameOK {
 			t.Fatalf("%s: status %d: %s", name, frames[0].Status, frames[0].Payload)
 		}
 		if frames[0].Codec.IsDelta() {
@@ -293,12 +229,12 @@ func TestBatchV3DeltaAcrossUpdate(t *testing.T) {
 		t.Fatalf("/update: %s", resp.Status)
 	}
 
-	frames := postBatchV3Raw(t, hs.URL, BatchRequestV2{
-		V: BatchV3Version, Canvas: "main", Codec: CodecJSON, Comp: CompOff,
+	frames := postBatch(t, hs.URL, BatchRequest{
+		V: wire.Version, Canvas: "main", Codec: CodecJSON, Comp: CompOff,
 		Items: []BatchItem{{Kind: "dbox", Layer: 0, MinX: 200, MinY: 0, MaxX: 1200, MaxY: 800,
 			Base: &BaseRef{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 800, ID: strconv.FormatUint(baseID, 16)}}},
 	})
-	if frames[0].Status != FrameOK {
+	if frames[0].Status != wire.FrameOK {
 		t.Fatalf("post-update frame: %s", frames[0].Payload)
 	}
 	if frames[0].Codec.IsDelta() {

@@ -132,8 +132,8 @@ func (s *Server) collectMetrics(c *obs.CollectorScratchpad) {
 	c.Counter("kyrix_rows_served_total", "Rows returned by serving queries.", float64(s.Stats.RowsServed.Load()))
 	c.Counter("kyrix_bytes_total", "Payload bytes, raw vs as written on framed streams.", float64(s.Stats.BytesServed.Load()), "kind", "payload")
 	c.Counter("kyrix_bytes_total", "Payload bytes, raw vs as written on framed streams.", float64(s.Stats.WireBytes.Load()), "kind", "wire")
-	c.Counter("kyrix_frames_total", "v3 frame encodings applied.", float64(s.Stats.DeltaFrames.Load()), "encoding", "delta")
-	c.Counter("kyrix_frames_total", "v3 frame encodings applied.", float64(s.Stats.CompressedFrames.Load()), "encoding", "flate")
+	c.Counter("kyrix_frames_total", "/batch frame encodings applied.", float64(s.Stats.DeltaFrames.Load()), "encoding", "delta")
+	c.Counter("kyrix_frames_total", "/batch frame encodings applied.", float64(s.Stats.CompressedFrames.Load()), "encoding", "flate")
 	c.Counter("kyrix_lod_queries_total", "Window queries routed to an aggregation-pyramid level.", float64(s.Stats.LODQueries.Load()))
 
 	if s.l2 != nil {

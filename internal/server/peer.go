@@ -164,7 +164,7 @@ func (s *Server) peerQuery(ctx context.Context, key string, fr *cluster.FillRequ
 }
 
 // ownsDBox reports whether this node serves the item's dynamic box
-// itself (always true when standalone). The v3 batch path uses it to
+// itself (always true when standalone). The batch path uses it to
 // decide whether delta encoding is safe: a non-owned item's payload
 // may come from a peer at a different cluster epoch, and the delta
 // diff is id-based and content-blind — cross-epoch deltas could skip

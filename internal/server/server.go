@@ -38,9 +38,7 @@ type ReplogOptions = cluster.ReplogOptions
 // L1CacheOptions configures the in-memory backend cache (the first
 // tier every request consults).
 type L1CacheOptions struct {
-	// Bytes is the cache byte budget (0 disables the cache — note the
-	// deprecated-alias fallback: a zero here falls back to the flat
-	// Options.CacheBytes, so "disabled" means both are zero).
+	// Bytes is the cache byte budget (0 disables the cache).
 	Bytes int64
 	// Shards is the shard count (rounded up to a power of two; 0 picks
 	// an automatic count from GOMAXPROCS).
@@ -92,10 +90,7 @@ type L2CacheOptions struct {
 }
 
 // CacheOptions is the nested cache configuration: L1 is the in-memory
-// W-TinyLFU/LRU tier, L2 the persistent tile store. This is the
-// canonical way to configure caching; the flat Cache* fields on
-// Options remain as deprecated aliases (an explicitly set nested field
-// wins over its alias).
+// W-TinyLFU/LRU tier, L2 the persistent tile store.
 type CacheOptions struct {
 	L1 L1CacheOptions
 	L2 L2CacheOptions
@@ -103,32 +98,9 @@ type CacheOptions struct {
 
 // Options configures a backend server.
 type Options struct {
-	// Cache is the nested cache configuration (L1 in-memory tier, L2
-	// persistent tile store). Field-by-field precedence: a non-zero
-	// nested field wins over its deprecated flat alias below; a zero
-	// nested field falls back to the alias.
+	// Cache is the cache configuration (L1 in-memory tier, L2
+	// persistent tile store).
 	Cache CacheOptions
-
-	// CacheBytes is the backend cache budget.
-	//
-	// Deprecated: set Cache.L1.Bytes instead.
-	CacheBytes int64
-	// CacheShards is the backend cache shard count.
-	//
-	// Deprecated: set Cache.L1.Shards instead.
-	CacheShards int
-	// CacheAdmission selects the backend cache admission policy.
-	//
-	// Deprecated: set Cache.L1.Admission instead.
-	CacheAdmission string
-	// CacheSketchCounters sizes the TinyLFU frequency sketch.
-	//
-	// Deprecated: set Cache.L1.SketchCounters instead.
-	CacheSketchCounters int
-	// CacheDoorkeeper enables the TinyLFU bloom doorkeeper.
-	//
-	// Deprecated: set Cache.L1.Doorkeeper instead.
-	CacheDoorkeeper bool
 	// Cluster joins this node to a serving cluster: cache keys are
 	// partitioned over a consistent-hash ring, a non-owner forwards
 	// misses to the owner instead of querying the database, hot keys
@@ -161,10 +133,7 @@ type Options struct {
 }
 
 // DefaultOptions builds both database designs with the paper's three
-// tile sizes and a 256 MB backend cache. The cache knobs live in the
-// nested Cache struct; callers starting from DefaultOptions should
-// adjust Cache.L1/Cache.L2 fields (overriding the deprecated flat
-// aliases instead would lose to the nested defaults).
+// tile sizes and a 256 MB backend cache.
 func DefaultOptions() Options {
 	return Options{
 		Cache: CacheOptions{
@@ -179,30 +148,6 @@ func DefaultOptions() Options {
 			MappingIndex: sqldb.IndexBTree,
 		},
 	}
-}
-
-// resolvedCache merges the nested Cache struct with the deprecated
-// flat aliases, field by field: a non-zero nested field wins, a zero
-// one falls back to its alias. Bool fields OR (true from either side
-// enables).
-func (o Options) resolvedCache() CacheOptions {
-	c := o.Cache
-	if c.L1.Bytes == 0 {
-		c.L1.Bytes = o.CacheBytes
-	}
-	if c.L1.Shards == 0 {
-		c.L1.Shards = o.CacheShards
-	}
-	if c.L1.Admission == "" {
-		c.L1.Admission = o.CacheAdmission
-	}
-	if c.L1.SketchCounters == 0 {
-		c.L1.SketchCounters = o.CacheSketchCounters
-	}
-	if !c.L1.Doorkeeper {
-		c.L1.Doorkeeper = o.CacheDoorkeeper
-	}
-	return c
 }
 
 // Stats counts server activity.
@@ -224,7 +169,7 @@ type Stats struct {
 	// counting the raw-payload equivalent, so WireBytes/BytesServed is
 	// the served compression ratio.
 	WireBytes atomic.Int64
-	// DeltaFrames counts v3 dbox frames that shipped as deltas;
+	// DeltaFrames counts dbox frames that shipped as deltas;
 	// CompressedFrames counts frames that shipped DEFLATE-compressed.
 	DeltaFrames      atomic.Int64
 	CompressedFrames atomic.Int64
@@ -253,7 +198,7 @@ type Server struct {
 	// an in-flight coalesced query from before the update cannot
 	// repopulate the cache with pre-update rows.
 	cacheGen atomic.Int64
-	// epochMu orders v3 delta planning against updates: a delta frame
+	// epochMu orders delta planning against updates: a delta frame
 	// diffs TWO payloads (the cached base and the fresh full result),
 	// and mixing epochs — a pre-update base with a post-update result —
 	// would ship rows the tombstone/entering diff cannot see changed.
@@ -268,7 +213,7 @@ type Server struct {
 	// constant statement shape per design (arguments ride in '?'
 	// placeholders), so the hot path skips the parser entirely.
 	plans *cache.LRU
-	// deltaMemo caches decoded dbox payloads for the v3 delta planner,
+	// deltaMemo caches decoded dbox payloads for the delta planner,
 	// keyed by the payload's content hash (wire.PayloadID) — during a
 	// pan chain each payload is decoded once, when it is the "new" box,
 	// and found here when the next request declares it as the base.
@@ -326,26 +271,25 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 	if planCap <= 0 {
 		planCap = 512
 	}
-	cacheOpts := opts.resolvedCache()
 	var admission cache.Admission
-	switch cacheOpts.L1.Admission {
+	switch opts.Cache.L1.Admission {
 	case "", "off":
 		admission = cache.AdmissionOff
 	case "lfu":
 		admission = cache.AdmissionLFU
 	default:
-		return nil, fmt.Errorf("server: unknown cache admission %q (want \"lfu\" or \"off\")", cacheOpts.L1.Admission)
+		return nil, fmt.Errorf("server: unknown cache admission %q (want \"lfu\" or \"off\")", opts.Cache.L1.Admission)
 	}
 	s := &Server{
 		db:     db,
 		ca:     ca,
 		layers: make(map[string]*fetch.PhysicalLayer),
 		bcache: cache.New(cache.Config{
-			Budget:         cacheOpts.L1.Bytes,
-			Shards:         cacheOpts.L1.Shards,
+			Budget:         opts.Cache.L1.Bytes,
+			Shards:         opts.Cache.L1.Shards,
 			Admission:      admission,
-			SketchCounters: cacheOpts.L1.SketchCounters,
-			Doorkeeper:     cacheOpts.L1.Doorkeeper,
+			SketchCounters: opts.Cache.L1.SketchCounters,
+			Doorkeeper:     opts.Cache.L1.Doorkeeper,
 		}),
 		// One entry = size 1, so the byte budget counts plans; a single
 		// shard keeps exact LRU order (the cap is tiny).
@@ -357,14 +301,14 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 		opts:      opts,
 	}
 	s.initObs()
-	if cacheOpts.L2.Path != "" {
+	if opts.Cache.L2.Path != "" {
 		l2, err := store.Open(store.Options{
-			Path:            cacheOpts.L2.Path,
-			MaxBytes:        cacheOpts.L2.MaxBytes,
-			SegmentBytes:    cacheOpts.L2.SegmentBytes,
-			WriteQueueDepth: cacheOpts.L2.WriteQueueDepth,
-			FlushInterval:   cacheOpts.L2.FlushInterval,
-			ScrubInterval:   cacheOpts.L2.ScrubInterval,
+			Path:            opts.Cache.L2.Path,
+			MaxBytes:        opts.Cache.L2.MaxBytes,
+			SegmentBytes:    opts.Cache.L2.SegmentBytes,
+			WriteQueueDepth: opts.Cache.L2.WriteQueueDepth,
+			FlushInterval:   opts.Cache.L2.FlushInterval,
+			ScrubInterval:   opts.Cache.L2.ScrubInterval,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("server: open L2 tile store: %w", err)
@@ -380,7 +324,7 @@ func New(db *sqldb.DB, ca *spec.CompiledApp, opts Options) (*Server, error) {
 		// execUpdate's cache transition: generation bump first (so
 		// in-flight queries refuse to store), then the clear, the
 		// whole step under the epoch write lock so it cannot
-		// interleave with a v3 delta plan. The hook never runs while
+		// interleave with a delta plan. The hook never runs while
 		// this node holds epochMu itself: epochs are only observed on
 		// peer exchanges, and delta-eligible items hold the read lock
 		// only when their key is locally owned (no peer hop).
@@ -936,9 +880,9 @@ func (s *Server) handleDBox(w http.ResponseWriter, r *http.Request) {
 
 // serveBox produces the payload of one dynamic-box request, with the
 // same cache + coalescing + cluster-routing treatment as serveTile.
-// memoize asks the query to park its decoded rows for the v3 delta
+// memoize asks the query to park its decoded rows for the delta
 // planner — only worth paying for requests whose payload can become a
-// delta base (v3 batches); the v1/v2 paths skip it.
+// delta base (/batch items); GET /dbox and peer fills skip it.
 func (s *Server) serveBox(ctx context.Context, pl *fetch.PhysicalLayer, codec Codec, box geom.Rect, memoize, localOnly bool) ([]byte, error) {
 	key := s.boxCacheKey(pl, codec, box)
 	if data, ok := s.bcache.Get(key); ok {
@@ -1194,7 +1138,7 @@ func (s *Server) applyUpdate(index uint64, cmd []byte) error {
 // generation and skips its cache store, so an in-flight coalesced
 // query cannot repopulate the cache with pre-update rows after the
 // Clear. The whole transition runs under the epoch write lock (see
-// Server.epochMu), so a v3 delta plan is never half-old half-new:
+// Server.epochMu), so a delta plan is never half-old half-new:
 // in-flight plans drain first, later plans find the base evicted.
 func (s *Server) execUpdate(sql string, args []storage.Value) (int64, error) {
 	s.epochMu.Lock()
@@ -1286,9 +1230,8 @@ type BuildInfo struct {
 	GoVersion string `json:"goVersion"`
 }
 
-// StatsSnapshot is the versioned structured /stats response (schema
-// version 2). GET /stats serves it by default; GET /stats?v=1 serves
-// the legacy flat counter map for older scrapers.
+// StatsSnapshot is the versioned structured GET /stats response
+// (schema version 2).
 type StatsSnapshot struct {
 	V             int           `json:"v"`
 	UptimeSeconds float64       `json:"uptimeSeconds"`
@@ -1359,54 +1302,10 @@ func (s *Server) Snapshot() StatsSnapshot {
 	return snap
 }
 
-// handleStats serves the versioned structured schema by default and
-// the legacy v1 flat counter map under ?v=1, byte-compatible with the
-// pre-versioning response so existing scrapers keep working.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+// handleStats serves the structured StatsSnapshot.
+func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if r.URL.Query().Get("v") == "1" {
-		_ = json.NewEncoder(w).Encode(s.legacyStats())
-		return
-	}
 	_ = json.NewEncoder(w).Encode(s.Snapshot())
-}
-
-func (s *Server) legacyStats() map[string]int64 {
-	bc := s.bcache.Stats()
-	out := map[string]int64{
-		"tileRequests":         s.Stats.TileRequests.Load(),
-		"boxRequests":          s.Stats.BoxRequests.Load(),
-		"batchRequests":        s.Stats.BatchRequests.Load(),
-		"cacheHits":            s.Stats.CacheHits.Load(),
-		"coalescedHits":        s.Stats.CoalescedHits.Load(),
-		"dbQueries":            s.Stats.DBQueries.Load(),
-		"rowsServed":           s.Stats.RowsServed.Load(),
-		"bytesServed":          s.Stats.BytesServed.Load(),
-		"updates":              s.Stats.Updates.Load(),
-		"queryNanos":           s.Stats.QueryNanos.Load(),
-		"wireBytes":            s.Stats.WireBytes.Load(),
-		"deltaFrames":          s.Stats.DeltaFrames.Load(),
-		"compressedFrames":     s.Stats.CompressedFrames.Load(),
-		"lodQueries":           s.Stats.LODQueries.Load(),
-		"dbRowsScanned":        s.db.Stats().RowsScanned,
-		"backendCacheBytes":    bc.Bytes,
-		"backendCacheHits":     bc.Hits,
-		"backendCacheMisses":   bc.Misses,
-		"backendCacheAdmitted": bc.Admitted,
-		"backendCacheRejected": bc.Rejected,
-		"backendCacheShards":   int64(s.bcache.ShardCount()),
-	}
-	if s.cluster != nil {
-		cs := &s.cluster.Stats
-		out["clusterEpoch"] = s.cluster.Epoch()
-		out["peerFills"] = cs.PeerFills.Load()
-		out["peerErrors"] = cs.PeerErrors.Load()
-		out["peerServes"] = cs.PeerServes.Load()
-		out["localFallbacks"] = cs.LocalFallbacks.Load()
-		out["hotReplicas"] = cs.HotReplicas.Load()
-		out["epochAdoptions"] = cs.EpochAdoptions.Load()
-	}
-	return out
 }
 
 // L2 exposes the persistent tile store (nil when disabled); experiment

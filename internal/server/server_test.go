@@ -157,7 +157,7 @@ func newPointsServer(t testing.TB, n int, canvasW, canvasH float64) (*Server, *h
 	t.Helper()
 	db, ca := newPointsApp(t, n, canvasW, canvasH)
 	srv, err := New(db, ca, Options{
-		CacheBytes: 8 << 20,
+		Cache: CacheOptions{L1: L1CacheOptions{Bytes: 8 << 20}},
 		Precompute: fetch.Options{
 			BuildSpatial: true,
 			TileSizes:    []float64{512},
@@ -398,13 +398,10 @@ func TestStatsEndpoint(t *testing.T) {
 	if snap.Cluster != nil {
 		t.Fatal("cluster section present on a standalone node")
 	}
-	// ?v=1 keeps serving the legacy flat counter map.
-	var stats map[string]int64
-	getJSON(t, hs.URL+"/stats?v=1", &stats)
-	if stats["tileRequests"] != 1 || stats["rowsServed"] == 0 {
-		t.Fatalf("v1 stats = %v", stats)
-	}
-	if _, ok := stats["backendCacheBytes"]; !ok {
-		t.Fatal("v1 flat map missing backendCacheBytes")
+	// There is one schema: ?v=1 gets the same snapshot.
+	var again StatsSnapshot
+	getJSON(t, hs.URL+"/stats?v=1", &again)
+	if again.V != 2 || again.Serving.TileRequests != 1 {
+		t.Fatalf("?v=1 stats = %+v, want the v2 snapshot", again)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"hash/fnv"
 )
 
-// Delta is the v3 dynamic-box delta frame: successive viewports of a
+// Delta is the dynamic-box delta frame: successive viewports of a
 // pan session overlap heavily, so instead of re-shipping the whole new
 // box the server sends only the rows entering it plus a tombstone list
 // for the rows leaving, relative to a base box the client declared it

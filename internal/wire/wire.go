@@ -1,23 +1,20 @@
 // Package wire implements the framed /batch stream shared by the
-// backend server and the frontend client: the varint frame codec
-// (protocol versions 2 and 3), pooled flate compression with a
-// cheap worth-it heuristic, and the v3 delta-frame format for
-// dynamic boxes.
+// backend server, the frontend client and cluster peer fill: the
+// varint frame codec, pooled flate compression with a cheap worth-it
+// heuristic, and the delta-frame format for dynamic boxes.
 //
 // Stream layout (all integers are unsigned varints unless noted):
 //
-//	header:    magic "KYXB" (4 bytes) | version (1 byte, 0x02 or 0x03) |
-//	           item count
-//	v2 frame:  index | kind (1B) | status (1B) | payload length | payload
-//	v3 frame:  index | kind (1B) | status (1B) | frame codec (1B) |
-//	           payload length | payload
+//	header:  magic "KYXB" (4 bytes) | version (1 byte, 0x03) |
+//	         item count
+//	frame:   index | kind (1B) | status (1B) | frame codec (1B) |
+//	         payload length | payload
 //
-// The only layout difference between v2 and v3 is the per-frame codec
-// byte: raw (0), flate (1), delta (2) or delta+flate (3). For flate
-// codecs the payload is a DEFLATE stream whose decompressed size is
-// bounded by MaxFramePayload; for delta codecs the (decompressed)
-// payload is the delta format documented on Delta. Error-status frames
-// are always raw.
+// The frame codec is raw (0), flate (1), delta (2) or delta+flate (3).
+// For flate codecs the payload is a DEFLATE stream whose decompressed
+// size is bounded by MaxFramePayload; for delta codecs the
+// (decompressed) payload is the delta format documented on Delta.
+// Error-status frames are always raw.
 //
 // Versioning rules: the magic identifies the framed-batch family; the
 // version byte is bumped on any layout change AND on any new frame
@@ -36,13 +33,8 @@ import (
 // Magic opens every framed batch stream.
 const Magic = "KYXB"
 
-// Protocol versions of the framed stream.
-const (
-	// V2 is the original framed stream: raw payloads only.
-	V2 = 2
-	// V3 adds the per-frame codec byte (compression + delta frames).
-	V3 = 3
-)
+// Version is the stream version this package reads and writes.
+const Version = 3
 
 // MaxFramePayload bounds a frame payload both as read off the wire and
 // after decompression — a corrupt length prefix or a hostile DEFLATE
@@ -69,10 +61,10 @@ const (
 	FrameInternal   FrameStatus = 2
 )
 
-// FrameCodec is the v3 per-frame payload encoding.
+// FrameCodec is the per-frame payload encoding.
 type FrameCodec byte
 
-// Frame codecs. V2 streams are implicitly CodecRaw.
+// Frame codecs.
 const (
 	// CodecRaw: the payload is the item's data in the request codec —
 	// the same bytes a single GET /tile or /dbox would return.
@@ -98,8 +90,7 @@ func (c FrameCodec) IsDelta() bool {
 	return c == CodecDelta || c == CodecDeltaFlate
 }
 
-// Frame is one decoded stream frame. Codec is always CodecRaw on v2
-// streams.
+// Frame is one decoded stream frame.
 type Frame struct {
 	Index   int
 	Kind    FrameKind
@@ -108,64 +99,47 @@ type Frame struct {
 	Payload []byte
 }
 
-// ValidVersion reports whether v is a framed-stream version this
-// package speaks.
-func ValidVersion(v byte) bool { return v == V2 || v == V3 }
-
-// WriteHeader writes the stream header for n frames at the given
-// protocol version.
-func WriteHeader(w io.Writer, version byte, n int) error {
-	if !ValidVersion(version) {
-		return fmt.Errorf("wire: cannot write unknown version %d", version)
-	}
+// WriteHeader writes the stream header for n frames.
+func WriteHeader(w io.Writer, n int) error {
 	var buf [4 + 1 + binary.MaxVarintLen64]byte
 	copy(buf[:4], Magic)
-	buf[4] = version
+	buf[4] = Version
 	ln := 5 + binary.PutUvarint(buf[5:], uint64(n))
 	_, err := w.Write(buf[:ln])
 	return err
 }
 
-// ReadHeader reads and validates a stream header, returning the
-// protocol version and frame count.
-func ReadHeader(br *bufio.Reader) (version byte, n int, err error) {
+// ReadHeader reads and validates a stream header, returning the frame
+// count.
+func ReadHeader(br *bufio.Reader) (n int, err error) {
 	var magic [5]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return 0, 0, fmt.Errorf("wire: batch header: %w", err)
+		return 0, fmt.Errorf("wire: batch header: %w", err)
 	}
 	if string(magic[:4]) != Magic {
-		return 0, 0, fmt.Errorf("wire: bad magic %q", magic[:4])
+		return 0, fmt.Errorf("wire: bad magic %q", magic[:4])
 	}
-	version = magic[4]
-	if !ValidVersion(version) {
-		return 0, 0, fmt.Errorf("wire: unknown version %d", version)
+	if magic[4] != Version {
+		return 0, fmt.Errorf("wire: unknown version %d", magic[4])
 	}
 	cnt, err := binary.ReadUvarint(br)
 	if err != nil {
-		return 0, 0, fmt.Errorf("wire: frame count: %w", err)
+		return 0, fmt.Errorf("wire: frame count: %w", err)
 	}
 	if cnt > MaxFramePayload {
-		return 0, 0, fmt.Errorf("wire: absurd frame count %d", cnt)
+		return 0, fmt.Errorf("wire: absurd frame count %d", cnt)
 	}
-	return version, int(cnt), nil
+	return int(cnt), nil
 }
 
-// WriteFrame writes one frame at the given protocol version. A v2
-// stream cannot carry a non-raw codec (the byte has nowhere to go);
-// asking for one is a caller bug reported as an error.
-func WriteFrame(w io.Writer, version byte, f Frame) error {
-	if version == V2 && f.Codec != CodecRaw {
-		return fmt.Errorf("wire: v2 frame cannot carry codec %d", f.Codec)
-	}
+// WriteFrame writes one frame.
+func WriteFrame(w io.Writer, f Frame) error {
 	var buf [2*binary.MaxVarintLen64 + 3]byte
 	ln := binary.PutUvarint(buf[:], uint64(f.Index))
 	buf[ln] = byte(f.Kind)
 	buf[ln+1] = byte(f.Status)
-	ln += 2
-	if version == V3 {
-		buf[ln] = byte(f.Codec)
-		ln++
-	}
+	buf[ln+2] = byte(f.Codec)
+	ln += 3
 	ln += binary.PutUvarint(buf[ln:], uint64(len(f.Payload)))
 	if _, err := w.Write(buf[:ln]); err != nil {
 		return err
@@ -174,10 +148,17 @@ func WriteFrame(w io.Writer, version byte, f Frame) error {
 	return err
 }
 
-// ReadFrame reads one frame of a stream at the given protocol version.
-// io.EOF at the first byte is returned verbatim (a clean between-frames
-// boundary); any other failure is a truncated or corrupt stream.
-func ReadFrame(br *bufio.Reader, version byte) (Frame, error) {
+// eagerPayload is the largest payload ReadFrame allocates up front
+// from the length prefix alone. Longer payloads grow their buffer as
+// bytes actually arrive, so a short hostile stream claiming a huge
+// payload costs what it sent, not what it claimed.
+const eagerPayload = 1 << 20
+
+// ReadFrame reads one frame. io.EOF at the first byte is returned
+// verbatim (a clean between-frames boundary); any other failure is a
+// truncated or corrupt stream, and truncation wraps
+// io.ErrUnexpectedEOF.
+func ReadFrame(br *bufio.Reader) (Frame, error) {
 	var f Frame
 	idx, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -203,15 +184,13 @@ func ReadFrame(br *bufio.Reader, version byte) (Frame, error) {
 	if f.Status > FrameInternal {
 		return f, fmt.Errorf("wire: unknown frame status %d", sb)
 	}
-	if version == V3 {
-		cb, err := br.ReadByte()
-		if err != nil {
-			return f, fmt.Errorf("wire: frame codec: %w", eofIsUnexpected(err))
-		}
-		f.Codec = FrameCodec(cb)
-		if f.Codec > CodecDeltaFlate {
-			return f, fmt.Errorf("wire: unknown frame codec %d", cb)
-		}
+	cb, err := br.ReadByte()
+	if err != nil {
+		return f, fmt.Errorf("wire: frame codec: %w", eofIsUnexpected(err))
+	}
+	f.Codec = FrameCodec(cb)
+	if f.Codec > CodecDeltaFlate {
+		return f, fmt.Errorf("wire: unknown frame codec %d", cb)
 	}
 	plen, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -220,9 +199,19 @@ func ReadFrame(br *bufio.Reader, version byte) (Frame, error) {
 	if plen > MaxFramePayload {
 		return f, fmt.Errorf("wire: payload of %d bytes exceeds limit", plen)
 	}
-	f.Payload = make([]byte, plen)
-	if _, err := io.ReadFull(br, f.Payload); err != nil {
+	if plen <= eagerPayload {
+		f.Payload = make([]byte, plen)
+		if _, err := io.ReadFull(br, f.Payload); err != nil {
+			return f, fmt.Errorf("wire: payload: %w", eofIsUnexpected(err))
+		}
+		return f, nil
+	}
+	f.Payload, err = io.ReadAll(io.LimitReader(br, int64(plen)))
+	if err != nil {
 		return f, fmt.Errorf("wire: payload: %w", err)
+	}
+	if uint64(len(f.Payload)) != plen {
+		return f, fmt.Errorf("wire: payload: %w", io.ErrUnexpectedEOF)
 	}
 	return f, nil
 }

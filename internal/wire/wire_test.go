@@ -4,34 +4,34 @@ import (
 	"bufio"
 	"bytes"
 	"compress/flate"
+	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
 func TestHeaderVersions(t *testing.T) {
-	for _, v := range []byte{V2, V3} {
-		var buf bytes.Buffer
-		if err := WriteHeader(&buf, v, 7); err != nil {
-			t.Fatal(err)
-		}
-		gotV, n, err := ReadHeader(bufio.NewReader(&buf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotV != v || n != 7 {
-			t.Fatalf("header = v%d n=%d, want v%d n=7", gotV, n, v)
-		}
-	}
-	if err := WriteHeader(io.Discard, 9, 1); err == nil {
-		t.Fatal("unknown version must not be writable")
-	}
 	var buf bytes.Buffer
-	buf.WriteString(Magic)
-	buf.WriteByte(4)
-	buf.WriteByte(1)
-	if _, _, err := ReadHeader(bufio.NewReader(&buf)); err == nil {
-		t.Fatal("unknown version must not be readable")
+	if err := WriteHeader(&buf, 7); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.Bytes()[4]; got != Version {
+		t.Fatalf("header version byte = %d, want %d", got, Version)
+	}
+	n, err := ReadHeader(bufio.NewReader(&buf))
+	if err != nil || n != 7 {
+		t.Fatalf("header: n=%d err=%v, want n=7", n, err)
+	}
+	// The retired v2 layout and unknown versions are both rejected.
+	for _, v := range []byte{2, 4} {
+		var buf bytes.Buffer
+		buf.WriteString(Magic)
+		buf.WriteByte(v)
+		buf.WriteByte(1)
+		if _, err := ReadHeader(bufio.NewReader(&buf)); err == nil {
+			t.Fatalf("version %d must not be readable", v)
+		}
 	}
 }
 
@@ -42,47 +42,129 @@ func TestFrameRoundTripV3(t *testing.T) {
 		{Index: 2, Kind: FrameDBox, Status: FrameOK, Codec: CodecDelta, Payload: []byte("delta")},
 		{Index: 3, Kind: FrameDBox, Status: FrameOK, Codec: CodecDeltaFlate, Payload: nil},
 		{Index: 4, Kind: FrameTile, Status: FrameInternal, Codec: CodecRaw, Payload: []byte("boom")},
+		{Index: 6, Kind: FrameDBox, Status: FrameBadRequest, Codec: CodecRaw, Payload: []byte("bad box")},
+		{Index: 5, Kind: FrameTile, Status: FrameInternal, Codec: CodecRaw, Payload: bytes.Repeat([]byte{0xAB}, 4096)},
 	}
 	var buf bytes.Buffer
-	if err := WriteHeader(&buf, V3, len(frames)); err != nil {
+	if err := WriteHeader(&buf, len(frames)); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range frames {
-		if err := WriteFrame(&buf, V3, f); err != nil {
+		if err := WriteFrame(&buf, f); err != nil {
 			t.Fatal(err)
 		}
 	}
 	br := bufio.NewReader(bytes.NewReader(buf.Bytes()))
-	v, n, err := ReadHeader(br)
-	if err != nil || v != V3 || n != len(frames) {
-		t.Fatalf("header: v=%d n=%d err=%v", v, n, err)
+	n, err := ReadHeader(br)
+	if err != nil || n != len(frames) {
+		t.Fatalf("header: n=%d err=%v", n, err)
 	}
 	for i, want := range frames {
-		got, err := ReadFrame(br, V3)
+		got, err := ReadFrame(br)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
-		if got.Index != want.Index || got.Kind != want.Kind ||
-			got.Status != want.Status || got.Codec != want.Codec ||
-			!bytes.Equal(got.Payload, want.Payload) {
+		if !sameFrame(got, want) {
 			t.Fatalf("frame %d = %+v, want %+v", i, got, want)
 		}
 	}
-	if _, err := ReadFrame(br, V3); err != io.EOF {
+	// The stream is exactly consumed: one more read is a clean EOF.
+	if _, err := ReadFrame(br); err != io.EOF {
 		t.Fatalf("read past end = %v, want io.EOF", err)
 	}
 }
 
-func TestV2CannotCarryCodec(t *testing.T) {
-	err := WriteFrame(io.Discard, V2, Frame{Codec: CodecFlate, Payload: []byte("x")})
-	if err == nil {
-		t.Fatal("v2 frame with a non-raw codec must fail to encode")
-	}
-	// And an unknown codec byte on a v3 stream is rejected.
+func sameFrame(a, b Frame) bool {
+	return a.Index == b.Index && a.Kind == b.Kind && a.Status == b.Status &&
+		a.Codec == b.Codec && bytes.Equal(a.Payload, b.Payload)
+}
+
+func TestFrameTruncatedAndCorrupt(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte{0, byte(FrameTile), byte(FrameOK), 9, 0})
-	if _, err := ReadFrame(bufio.NewReader(&buf), V3); err == nil {
-		t.Fatal("unknown frame codec must fail to decode")
+	_ = WriteHeader(&buf, 2)
+	_ = WriteFrame(&buf, Frame{Index: 0, Kind: FrameTile, Status: FrameOK, Payload: []byte("0123456789")})
+	_ = WriteFrame(&buf, Frame{Index: 1, Kind: FrameDBox, Status: FrameOK, Codec: CodecFlate, Payload: []byte("abcdef")})
+	whole := buf.Bytes()
+
+	// Truncating the stream at every possible boundary must yield an
+	// error (or a clean EOF strictly before both frames arrived) —
+	// never a bogus success. A cut inside a frame is io.ErrUnexpectedEOF.
+	for cut := 0; cut < len(whole); cut++ {
+		br := bufio.NewReader(bytes.NewReader(whole[:cut]))
+		n, err := ReadHeader(br)
+		if err != nil {
+			continue // truncated inside the header: detected
+		}
+		got := 0
+		for got < n {
+			if _, err = ReadFrame(br); err != nil {
+				break
+			}
+			got++
+		}
+		if got >= n {
+			t.Fatalf("cut at %d bytes still decoded %d/%d frames", cut, got, n)
+		}
+		if err != io.EOF && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut at %d bytes: %v, want io.EOF or io.ErrUnexpectedEOF", cut, err)
+		}
+	}
+
+	// Corrupt magic.
+	bad := append([]byte{}, whole...)
+	bad[0] = 'X'
+	if _, err := ReadHeader(bufio.NewReader(bytes.NewReader(bad))); err == nil {
+		t.Fatal("bad magic must fail")
+	}
+	// Unknown kind, status and codec bytes.
+	for name, f := range map[string]Frame{
+		"kind":   {Kind: FrameKind(7)},
+		"status": {Status: FrameStatus(9)},
+		"codec":  {Codec: FrameCodec(9)},
+	} {
+		var fb bytes.Buffer
+		_ = WriteFrame(&fb, f)
+		if _, err := ReadFrame(bufio.NewReader(&fb)); err == nil {
+			t.Fatalf("unknown frame %s must fail", name)
+		}
+	}
+	// A payload length above MaxFramePayload must error out instead of
+	// attempting the allocation.
+	huge := []byte{0, byte(FrameTile), byte(FrameOK), byte(CodecRaw), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
+	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(huge))); err == nil {
+		t.Fatal("absurd payload length must fail")
+	}
+}
+
+// hostileFrame is a 12-byte frame whose length prefix claims a
+// MaxFramePayload-sized (256 MiB) payload but which carries 3 bytes.
+var hostileFrame = []byte{0, byte(FrameTile), byte(FrameOK), byte(CodecRaw),
+	0x80, 0x80, 0x80, 0x80, 0x01, 'a', 'b', 'c'}
+
+// TestReadFrameHostileLength: a frame claiming a payload far larger
+// than the bytes behind it costs what it sent, not what it claimed.
+func TestReadFrameHostileLength(t *testing.T) {
+	if len(hostileFrame) != 12 {
+		t.Fatalf("hostile frame is %d bytes", len(hostileFrame))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bufio.NewReader(bytes.NewReader(hostileFrame)))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated hostile frame: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("hostile 12-byte frame allocated %d bytes", got)
+	}
+
+	// A genuine payload above the eager threshold still round-trips.
+	big := Frame{Kind: FrameDBox, Payload: bytes.Repeat([]byte("row,"), eagerPayload/2)}
+	var buf bytes.Buffer
+	_ = WriteFrame(&buf, big)
+	got, err := ReadFrame(bufio.NewReader(&buf))
+	if err != nil || !sameFrame(got, big) {
+		t.Fatalf("large frame round trip: %v", err)
 	}
 }
 
