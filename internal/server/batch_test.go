@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"kyrix/internal/wire"
@@ -135,6 +138,73 @@ func TestBatchV2MixedTileDBox(t *testing.T) {
 	}
 }
 
+// singleTile fetches one tile through GET /tile, the payload a batch
+// tile frame must reproduce byte for byte.
+func singleTile(t *testing.T, url string, col, row int, codec Codec) []byte {
+	t.Helper()
+	resp, err := http.Get(fmt.Sprintf("%s/tile?canvas=main&layer=0&size=512&col=%d&row=%d&codec=%s", url, col, row, codec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("single tile: %s: %s", resp.Status, body)
+	}
+	return body
+}
+
+func batchTile(col, row int) BatchItem {
+	return BatchItem{Kind: "tile", Layer: 0, Size: 512, Col: col, Row: row}
+}
+
+// TestBatchEndpoint checks the wire contract of POST /batch: payloads
+// identical to single-tile GETs, per-tile errors isolated, the binary
+// codec, and POST-only.
+func TestBatchEndpoint(t *testing.T) {
+	_, hs := newPointsServer(t, 2000, 4096, 2048)
+
+	frames := postBatch(t, hs.URL, BatchRequest{
+		V: wire.Version, Canvas: "main", Comp: CompOff,
+		Items: []BatchItem{batchTile(0, 0), batchTile(1, 0), batchTile(2, 1), batchTile(-1, 0)},
+	})
+	for i, want := range []struct{ col, row int }{{0, 0}, {1, 0}, {2, 1}} {
+		f := frames[i]
+		if f.Status != wire.FrameOK || f.Kind != wire.FrameTile || f.Codec != wire.CodecRaw {
+			t.Fatalf("frame %d = %+v", i, f)
+		}
+		if !bytes.Equal(f.Payload, singleTile(t, hs.URL, want.col, want.row, CodecJSON)) {
+			t.Fatalf("frame %d payload differs from GET /tile", i)
+		}
+		if _, err := Decode(f.Payload, CodecJSON); err != nil {
+			t.Fatalf("frame %d payload undecodable: %v", i, err)
+		}
+	}
+	if f := frames[3]; f.Status != wire.FrameBadRequest || len(f.Payload) == 0 {
+		t.Fatalf("negative tile frame = %+v, want a per-tile error", f)
+	}
+
+	// The binary codec round-trips too.
+	frames = postBatch(t, hs.URL, BatchRequest{V: wire.Version, Canvas: "main", Codec: CodecBinary, Comp: CompOff,
+		Items: []BatchItem{batchTile(0, 0)}})
+	if frames[0].Status != wire.FrameOK || !bytes.Equal(frames[0].Payload, singleTile(t, hs.URL, 0, 0, CodecBinary)) {
+		t.Fatalf("binary frame = %+v", frames[0])
+	}
+	if _, err := Decode(frames[0].Payload, CodecBinary); err != nil {
+		t.Fatalf("binary payload undecodable: %v", err)
+	}
+
+	resp, err := http.Get(hs.URL + "/batch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /batch status = %d", resp.StatusCode)
+	}
+}
+
 // TestBatchV2Validation covers what /batch rejects: request-level
 // mistakes are a 400 before any item runs, item-level ones an error
 // frame beside good siblings.
@@ -145,9 +215,6 @@ func TestBatchV2Validation(t *testing.T) {
 		body, _ := json.Marshal(req)
 		return postBatchStatus(t, hs.URL, body)
 	}
-	tile := func(col, row int) BatchItem {
-		return BatchItem{Kind: "tile", Layer: 0, Size: 512, Col: col, Row: row}
-	}
 
 	// Request-level failures.
 	if code := post(BatchRequest{V: wire.Version, Canvas: "main"}); code != http.StatusBadRequest {
@@ -155,13 +222,13 @@ func TestBatchV2Validation(t *testing.T) {
 	}
 	big := BatchRequest{V: wire.Version, Canvas: "main"}
 	for i := 0; i <= MaxBatchItems; i++ {
-		big.Items = append(big.Items, tile(i, 0))
+		big.Items = append(big.Items, batchTile(i, 0))
 	}
 	if code := post(big); code != http.StatusBadRequest {
 		t.Fatalf("oversize batch = %d", code)
 	}
 	if code := post(BatchRequest{V: wire.Version, Canvas: "main", Codec: "xml",
-		Items: []BatchItem{tile(0, 0)}}); code != http.StatusBadRequest {
+		Items: []BatchItem{batchTile(0, 0)}}); code != http.StatusBadRequest {
 		t.Fatalf("unknown codec = %d", code)
 	}
 	if code := postBatchStatus(t, hs.URL, []byte(`{"v":4,"canvas":"main","items":[{"kind":"tile","size":512}]}`)); code != http.StatusBadRequest {
@@ -170,63 +237,29 @@ func TestBatchV2Validation(t *testing.T) {
 	if code := postBatchStatus(t, hs.URL, []byte(`{"v":3,"canvas":`)); code != http.StatusBadRequest {
 		t.Fatalf("malformed body = %d", code)
 	}
-	resp, err := http.Get(hs.URL + "/batch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /batch status = %d", resp.StatusCode)
-	}
 
-	// Item-level failures are bad-request frames; good siblings still
-	// carry the single-request payloads.
-	single := func(col, row int, codec Codec) []byte {
-		resp, err := http.Get(fmt.Sprintf("%s/tile?canvas=main&layer=0&size=512&col=%d&row=%d&codec=%s", hs.URL, col, row, codec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("single tile: %s: %s", resp.Status, body)
-		}
-		return body
-	}
-	badSize := tile(0, 0)
+	// Item-level failures are bad-request frames; the good sibling
+	// still carries the single-request payload.
+	badSize := batchTile(0, 0)
 	badSize.Size = 0
-	badDesign := tile(0, 0)
+	badDesign := batchTile(0, 0)
 	badDesign.Design = "quantum"
 	frames := postBatch(t, hs.URL, BatchRequest{
 		V: wire.Version, Canvas: "main", Comp: CompOff,
-		Items: []BatchItem{tile(0, 0), tile(1, 0), tile(2, 1), tile(-1, 0),
-			badSize, badDesign, {Kind: "polygon", Layer: 0}},
+		Items: []BatchItem{batchTile(0, 0), badSize, badDesign, {Kind: "polygon", Layer: 0}},
 	})
-	for i, want := range []struct{ col, row int }{{0, 0}, {1, 0}, {2, 1}} {
-		if frames[i].Status != wire.FrameOK || !bytes.Equal(frames[i].Payload, single(want.col, want.row, CodecJSON)) {
-			t.Fatalf("frame %d = %+v, want the GET /tile payload", i, frames[i])
-		}
+	if frames[0].Status != wire.FrameOK || !bytes.Equal(frames[0].Payload, singleTile(t, hs.URL, 0, 0, CodecJSON)) {
+		t.Fatalf("frame 0 = %+v, want the GET /tile payload", frames[0])
 	}
-	for i, name := range []string{"negative col", "zero size", "unknown design", "unknown kind"} {
-		if f := frames[3+i]; f.Status != wire.FrameBadRequest || len(f.Payload) == 0 {
+	for i, name := range []string{"zero size", "unknown design", "unknown kind"} {
+		if f := frames[1+i]; f.Status != wire.FrameBadRequest || len(f.Payload) == 0 {
 			t.Fatalf("%s frame = %+v, want a bad-request error frame", name, f)
 		}
 	}
 	// An unknown canvas fails every item, still per frame.
-	frames = postBatch(t, hs.URL, BatchRequest{V: wire.Version, Canvas: "nope", Items: []BatchItem{tile(0, 0)}})
+	frames = postBatch(t, hs.URL, BatchRequest{V: wire.Version, Canvas: "nope", Items: []BatchItem{batchTile(0, 0)}})
 	if frames[0].Status != wire.FrameBadRequest {
 		t.Fatalf("unknown canvas frame = %+v", frames[0])
-	}
-
-	// The binary codec round-trips too.
-	frames = postBatch(t, hs.URL, BatchRequest{V: wire.Version, Canvas: "main", Codec: CodecBinary, Comp: CompOff,
-		Items: []BatchItem{tile(0, 0)}})
-	if frames[0].Status != wire.FrameOK || !bytes.Equal(frames[0].Payload, single(0, 0, CodecBinary)) {
-		t.Fatalf("binary frame = %+v", frames[0])
-	}
-	if _, err := Decode(frames[0].Payload, CodecBinary); err != nil {
-		t.Fatalf("binary payload undecodable: %v", err)
 	}
 }
 
@@ -271,5 +304,148 @@ func TestBatchV2CoalescesWithSingles(t *testing.T) {
 	}
 	if got := srv.Stats.DBQueries.Load() - dbqBefore; got != 0 {
 		t.Fatalf("batched re-request ran %d queries, want cache hit", got)
+	}
+}
+
+// errWriter fails every write, as a response whose client went away.
+type errWriter struct{ writes int }
+
+func (e *errWriter) Write(p []byte) (int, error) {
+	e.writes++
+	return 0, errors.New("client gone")
+}
+
+// TestBatchV2FrameRoundTrip checks the server's frame writer: frames
+// written from concurrent workers land whole (never interleaved) and
+// decode back, each write is flushed, the byte totals are summed per
+// frame, and the first write error drops every later frame.
+func TestBatchV2FrameRoundTrip(t *testing.T) {
+	frames := []wire.Frame{
+		{Index: 0, Kind: wire.FrameTile, Status: wire.FrameOK, Codec: wire.CodecRaw, Payload: []byte("tile payload")},
+		{Index: 2, Kind: wire.FrameDBox, Status: wire.FrameBadRequest, Codec: wire.CodecRaw, Payload: []byte("bad box")},
+		{Index: 1, Kind: wire.FrameDBox, Status: wire.FrameOK, Codec: wire.CodecFlate, Payload: nil},
+		{Index: 3, Kind: wire.FrameTile, Status: wire.FrameInternal, Codec: wire.CodecRaw, Payload: bytes.Repeat([]byte{0xAB}, 4096)},
+		{Index: 4, Kind: wire.FrameDBox, Status: wire.FrameOK, Codec: wire.CodecDeltaFlate, Payload: bytes.Repeat([]byte("delta"), 300)},
+	}
+	rec := httptest.NewRecorder()
+	if err := wire.WriteHeader(rec, len(frames)); err != nil {
+		t.Fatal(err)
+	}
+	fw := newFrameWriter(rec)
+	var wantBytes, wantRaw int64
+	var wg sync.WaitGroup
+	for i, f := range frames {
+		rawLen := 10*len(f.Payload) + i
+		wantBytes += int64(len(f.Payload))
+		wantRaw += int64(rawLen)
+		wg.Add(1)
+		go func(f wire.Frame, rawLen int) {
+			defer wg.Done()
+			fw.writeFrame(f, rawLen)
+		}(f, rawLen)
+	}
+	wg.Wait()
+	if !rec.Flushed {
+		t.Fatal("frame writes were not flushed")
+	}
+	if b, raw := fw.totals(); b != wantBytes || raw != wantRaw {
+		t.Fatalf("totals = (%d, %d), want (%d, %d)", b, raw, wantBytes, wantRaw)
+	}
+
+	br := bufio.NewReader(bytes.NewReader(rec.Body.Bytes()))
+	n, err := wire.ReadHeader(br)
+	if err != nil || n != len(frames) {
+		t.Fatalf("header: n=%d err=%v", n, err)
+	}
+	got := make(map[int]wire.Frame, n)
+	for i := 0; i < n; i++ {
+		f, err := wire.ReadFrame(br)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		got[f.Index] = f
+	}
+	for _, want := range frames {
+		f, ok := got[want.Index]
+		if !ok || f.Kind != want.Kind || f.Status != want.Status || f.Codec != want.Codec || !bytes.Equal(f.Payload, want.Payload) {
+			t.Fatalf("frame %d = %+v, want %+v", want.Index, f, want)
+		}
+	}
+	// The stream is exactly consumed: one more read is a clean EOF.
+	if _, err := wire.ReadFrame(br); err != io.EOF {
+		t.Fatalf("read past end = %v, want io.EOF", err)
+	}
+
+	ew := &errWriter{}
+	dead := &frameWriter{w: ew}
+	for _, f := range frames {
+		dead.writeFrame(f, len(f.Payload))
+	}
+	if ew.writes != 1 {
+		t.Fatalf("writes after the first error = %d, want the stream dropped", ew.writes-1)
+	}
+	if b, raw := dead.totals(); b != 0 || raw != 0 {
+		t.Fatalf("failed stream counted (%d, %d) bytes", b, raw)
+	}
+}
+
+// TestBatchV2TruncatedAndCorrupt cuts a real /batch response at every
+// byte: no cut may decode as the whole batch. A damaged magic or a
+// retired version byte fails at the header.
+func TestBatchV2TruncatedAndCorrupt(t *testing.T) {
+	_, hs := newPointsServer(t, 300, 4096, 2048)
+	body, _ := json.Marshal(BatchRequest{
+		V: wire.Version, Canvas: "main",
+		Items: []BatchItem{
+			batchTile(0, 0),
+			{Kind: "dbox", Layer: 0, MinX: 0, MinY: 0, MaxX: 1024, MaxY: 1024},
+			batchTile(-1, 0),
+		},
+	})
+	resp, err := http.Post(hs.URL+"/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: %s: %v", resp.Status, err)
+	}
+
+	decodeAll := func(b []byte) (got, n int, err error) {
+		br := bufio.NewReader(bytes.NewReader(b))
+		if n, err = wire.ReadHeader(br); err != nil {
+			return 0, 0, err
+		}
+		for got < n {
+			if _, err = wire.ReadFrame(br); err != nil {
+				return got, n, err
+			}
+			got++
+		}
+		return got, n, nil
+	}
+	if got, n, err := decodeAll(whole); err != nil || got != 3 || n != 3 {
+		t.Fatalf("whole stream: %d/%d frames, %v", got, n, err)
+	}
+	for cut := 0; cut < len(whole); cut++ {
+		got, n, err := decodeAll(whole[:cut])
+		if err == nil {
+			t.Fatalf("cut at %d of %d bytes still decoded %d/%d frames", cut, len(whole), got, n)
+		}
+		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut at %d bytes: %v, want io.EOF or io.ErrUnexpectedEOF", cut, err)
+		}
+	}
+
+	bad := append([]byte{}, whole...)
+	bad[0] = 'X'
+	if _, _, err := decodeAll(bad); err == nil {
+		t.Fatal("bad magic must fail")
+	}
+	bad = append([]byte{}, whole...)
+	bad[len(wire.Magic)] = 2
+	if _, _, err := decodeAll(bad); err == nil {
+		t.Fatal("a v2 stream header must fail")
 	}
 }

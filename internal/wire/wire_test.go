@@ -23,15 +23,33 @@ func TestHeaderVersions(t *testing.T) {
 	if err != nil || n != 7 {
 		t.Fatalf("header: n=%d err=%v, want n=7", n, err)
 	}
-	// The retired v2 layout and unknown versions are both rejected.
-	for _, v := range []byte{2, 4} {
-		var buf bytes.Buffer
-		buf.WriteString(Magic)
-		buf.WriteByte(v)
-		buf.WriteByte(1)
-		if _, err := ReadHeader(bufio.NewReader(&buf)); err == nil {
-			t.Fatalf("version %d must not be readable", v)
-		}
+	// An unknown version is rejected.
+	var bad bytes.Buffer
+	bad.WriteString(Magic)
+	bad.WriteByte(4)
+	bad.WriteByte(1)
+	if _, err := ReadHeader(bufio.NewReader(&bad)); err == nil {
+		t.Fatal("version 4 must not be readable")
+	}
+}
+
+// TestV2CannotCarryCodec: v2 frames had no codec byte, so a v2 stream
+// is refused at its header rather than misread as v3 frames; on a v3
+// stream an unknown codec byte is rejected.
+func TestV2CannotCarryCodec(t *testing.T) {
+	var v2 bytes.Buffer
+	v2.WriteString(Magic)
+	v2.WriteByte(2)
+	v2.WriteByte(1)
+	// One v2 frame: index, kind, status, length, payload — no codec.
+	v2.Write([]byte{0, byte(FrameTile), byte(FrameOK), 1, 'x'})
+	if _, err := ReadHeader(bufio.NewReader(&v2)); err == nil {
+		t.Fatal("a v2 stream must not be readable")
+	}
+	var buf bytes.Buffer
+	buf.Write([]byte{0, byte(FrameTile), byte(FrameOK), 9, 0})
+	if _, err := ReadFrame(bufio.NewReader(&buf)); err == nil {
+		t.Fatal("unknown frame codec must fail to decode")
 	}
 }
 
@@ -116,11 +134,10 @@ func TestFrameTruncatedAndCorrupt(t *testing.T) {
 	if _, err := ReadHeader(bufio.NewReader(bytes.NewReader(bad))); err == nil {
 		t.Fatal("bad magic must fail")
 	}
-	// Unknown kind, status and codec bytes.
+	// Unknown kind and status bytes (codec: TestV2CannotCarryCodec).
 	for name, f := range map[string]Frame{
 		"kind":   {Kind: FrameKind(7)},
 		"status": {Status: FrameStatus(9)},
-		"codec":  {Codec: FrameCodec(9)},
 	} {
 		var fb bytes.Buffer
 		_ = WriteFrame(&fb, f)
